@@ -40,24 +40,24 @@ def _m(name, unit, better, times, moves):
 
 
 LAYER_METRICS: tuple[LayerMetric, ...] = (
-    _m("lang.parse_s", "s", "lower", "self time of parser.parse_program", "compile_s on compile_cold"),
-    _m("lang.analyze_s", "s", "lower", "self time of fragments.analyze_function and analyze_fragment", "compile_s on compile_cold"),
-    _m("lang.fragments", "count", "higher", "fragments analyze_fragment returned", "compile_s on compile_cold"),
-    _m("diagnostics.soundness_s", "s", "lower", "self time of soundness.analyze_soundness", "compile_s on compile_cold"),
-    _m("diagnostics.rejected", "count", "lower", "fragments analyze_soundness rejected", "compile_s on compile_cold"),
-    _m("synthesis.search_s", "s", "lower", "self time of search.find_summaries", "compile_s on compile_cold; setup_s on batch_*; zero in serve_small's timed loop"),
-    _m("synthesis.enumerate_s", "s", "lower", "self time of cegis.Synthesizer.synthesize", "compile_s on compile_cold; setup_s on batch_*"),
-    _m("synthesis.candidates", "count", "lower", "candidates find_summaries checked", "compile_s on compile_cold"),
-    _m("synthesis.failed_searches", "count", "lower", "find_summaries calls that ended with no summary", "compile_s on compile_cold"),
-    _m("verification.bounded_s", "s", "lower", "self time of bounded.BoundedChecker.check", "compile_s on compile_cold"),
-    _m("verification.bounded_checks", "count", "lower", "calls of BoundedChecker.check", "compile_s on compile_cold"),
-    _m("verification.refute_ratio", "ratio", "higher", "share of bounded checks that returned a counterexample", "compile_s on compile_cold"),
-    _m("verification.prove_s", "s", "lower", "self time of prover.FullVerifier.verify", "compile_s on compile_cold"),
-    _m("verification.proofs", "count", "lower", "calls of FullVerifier.verify", "compile_s on compile_cold"),
-    _m("verification.tier1_share", "ratio", "higher", "share of accepted summaries proved rather than bounded-only", "compile_s on compile_cold"),
+    _m("lang.parse_s", "s", "lower", "self time of parser.parse_program", "compile_s and setup_s on batch_*"),
+    _m("lang.analyze_s", "s", "lower", "self time of fragments.analyze_function and analyze_fragment", "compile_s and setup_s on batch_*"),
+    _m("lang.fragments", "count", "higher", "fragments analyze_fragment returned", "compile_s and setup_s on batch_*"),
+    _m("diagnostics.soundness_s", "s", "lower", "self time of soundness.analyze_soundness", "compile_s and setup_s on batch_*"),
+    _m("diagnostics.rejected", "count", "lower", "fragments analyze_soundness rejected", "compile_s and setup_s on batch_*"),
+    _m("synthesis.search_s", "s", "lower", "self time of search.find_summaries", "compile_s and setup_s on batch_*; zero in serve_small's timed loop"),
+    _m("synthesis.enumerate_s", "s", "lower", "self time of cegis.Synthesizer.synthesize", "compile_s and setup_s on batch_*"),
+    _m("synthesis.candidates", "count", "lower", "candidates find_summaries checked", "compile_s and setup_s on batch_*"),
+    _m("synthesis.failed_searches", "count", "lower", "find_summaries calls that ended with no summary", "compile_s and setup_s on batch_*"),
+    _m("verification.bounded_s", "s", "lower", "self time of bounded.BoundedChecker.check", "compile_s and setup_s on batch_*"),
+    _m("verification.bounded_checks", "count", "lower", "calls of BoundedChecker.check", "compile_s and setup_s on batch_*"),
+    _m("verification.refute_ratio", "ratio", "higher", "share of bounded checks that returned a counterexample", "compile_s and setup_s on batch_*"),
+    _m("verification.prove_s", "s", "lower", "self time of prover.FullVerifier.verify", "compile_s and setup_s on batch_*"),
+    _m("verification.proofs", "count", "lower", "calls of FullVerifier.verify", "compile_s and setup_s on batch_*"),
+    _m("verification.tier1_share", "ratio", "higher", "share of accepted summaries proved rather than bounded-only", "compile_s and setup_s on batch_*"),
     _m("pipeline.cache_hits", "count", "higher", "SummaryCache.stats hits", "compile_s and setup_s"),
     _m("pipeline.cache_misses", "count", "lower", "SummaryCache.stats misses", "compile_s and setup_s"),
-    _m("codegen.build_s", "s", "lower", "self time of glue.build_adaptive_program", "compile_s on compile_cold"),
+    _m("codegen.build_s", "s", "lower", "self time of glue.build_adaptive_program", "compile_s and setup_s on batch_*"),
     _m("codegen.view_records_s", "s", "lower", "self time of base.view_records", "job_p50_s on batch_scan (tpch_q6 builds records)"),
     _m("codegen.kernel_compile_s", "s", "lower", "self time of kernels.compile_kernel (parent process)", "job_p50_s on serve_small"),
     _m("codegen.kernel_compiles", "count", "lower", "calls of kernels.compile_kernel (parent process)", "job_p50_s on serve_small"),
@@ -88,7 +88,7 @@ LAYER_METRICS: tuple[LayerMetric, ...] = (
     _m("serve.transport_ms", "ms", "lower", "latency minus queue minus execution, summed over timed jobs (HTTP plus codec on serve_small)", "job_p50_s on serve_small"),
     _m("serve.exclusive_admissions", "count", "lower", "timed jobs admitted in exclusive mode", "job_p50_s on serve_small"),
     _m("trace.unattributed_s", "s", "lower", "self time of root spans: what no wrapped layer covers", "shrinks as spans move into the program"),
-    _m("trace.overhead_share", "ratio", "lower", "traced over untraced job_p50_s (compile_s on compile_cold) in the same process, minus 1", "none: the cost of tracing"),
+    _m("trace.overhead_share", "ratio", "lower", "traced over untraced median job latency in the same process, minus 1", "none: the cost of tracing"),
     _m("check.wrong_outputs", "count", "lower", "timed jobs whose outputs differ from interpret_reference", "must stay 0 on every workload"),
     _m("check.failed_share", "ratio", "lower", "jobs that raised, returned an error or were wrong, over jobs attempted", "must stay 0 on every workload"),
 )

@@ -69,13 +69,11 @@ def test_every_workload_prints_every_metric_with_its_unit(workload):
             assert chrome["traceEvents"] and all(e["ph"] == "X" for e in chrome["traceEvents"])
         else:
             for name, _ in run.END_TO_END:
-                if workload == "serve_small" and name in ("job_p50_s", "jobs_per_s"):
-                    name = {"job_p50_s": "serve_p50_ms", "jobs_per_s": "serve_jobs_per_s"}[name]
                 assert f"{name} = " in text, name
 
 
 def test_a_second_seed_passes_the_output_checks():
-    for workload in ("compile_cold", "batch_shuffle"):
+    for workload in ("batch_scan", "batch_shuffle"):
         result, _ = bench(workload, seed=4, trace=0)
         assert result["correct"] is True and result["failed"] == 0
 
@@ -97,7 +95,7 @@ def test_an_injected_wrong_output_is_counted(monkeypatch, capsys):
         return job
 
     monkeypatch.setattr(workloads, "job_from_result", corrupt)
-    assert run.main(["--workload", "compile_cold", "--seed", "5", "--seconds", "1",
+    assert run.main(["--workload", "batch_scan", "--seed", "5", "--seconds", "1",
                      "--trace", "0", "--scale", str(TINY)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     result = json.loads(lines[-1])
@@ -157,7 +155,7 @@ def test_serve_cleans_up_when_the_run_raises(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("input generation failed")
 
-    monkeypatch.setattr(workloads, "serve_inputs", boom)
+    monkeypatch.setattr(workloads, "serve_input", boom)
     with pytest.raises(RuntimeError, match="input generation failed"):
         workloads.run_serve_small(7, 1.0, TINY, None, time.perf_counter())
     assert daemons and all(d.proc.poll() is not None for d in daemons)

@@ -1,4 +1,4 @@
-"""The four workloads, all driven through ``repro``'s public API.
+"""The three workloads, all driven through ``repro``'s public API.
 
 Each workload makes its inputs from the seed, sets up (imports,
 registration, input generation, warm-up), runs a timed window, and
@@ -12,7 +12,6 @@ workload in a second or two.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import os
 import queue
@@ -27,11 +26,11 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 import repro
-from repro import ExecOptions, Session, SummaryCache
+from repro import ExecOptions, Session
 from repro.graph.executor import interpret_reference
 from repro.lang.values import Instance, values_equal
 from repro.workloads import datagen
-from repro.workloads.registry import get_benchmark, suite_benchmarks
+from repro.workloads.registry import get_benchmark
 
 from . import layers
 from . import spans as spans_mod
@@ -66,6 +65,9 @@ class Job:
     units: list = field(default_factory=list)
     admission_mode: Optional[str] = None
     timed: bool = True
+    #: Jobs of one kind run the same program the same way; job_p50_s
+    #: takes a median per kind.
+    kind: str = ""
     wrong: bool = False
     check_error: Optional[str] = None
 
@@ -85,7 +87,7 @@ def unit_summaries(report: Any) -> list[dict]:
     return list(units.values())
 
 
-def job_from_result(result, program, input_key, records, latency, timed=True) -> Job:
+def job_from_result(result, program, input_key, records, latency, timed=True, kind=None) -> Job:
     return Job(
         job_id=result.job_id,
         program=program,
@@ -100,6 +102,7 @@ def job_from_result(result, program, input_key, records, latency, timed=True) ->
         units=unit_summaries(result.plan_report),
         admission_mode=(result.admission or {}).get("mode"),
         timed=timed,
+        kind=kind or program,
     )
 
 
@@ -223,91 +226,6 @@ class Outcome:
 
 
 # ----------------------------------------------------------------------
-# compile_cold
-
-COMPILE_SUITES = ("ariths", "joins", "tpch", "iterative")
-COMPILE_EXTRA = (
-    "stats_min_max",
-    "phoenix_linear_regression",
-    "fiji_running_blur",
-    "fiji_nlmeans_kernel",
-)
-
-
-def compile_programs(scale: float = 1.0) -> list:
-    """The 24 programs; below scale 1 a prefix of them (the tests' size)."""
-    benches = [b for suite in COMPILE_SUITES for b in suite_benchmarks(suite)]
-    benches += [get_benchmark(name) for name in COMPILE_EXTRA]
-    if scale < 1.0:
-        benches = benches[: max(2, round(len(benches) * scale))]
-    return benches
-
-
-def run_compile_cold(seed: int, seconds: float, scale: float, tracer, clock_start: float) -> Outcome:
-    out = Outcome()
-    phases = Phases(tracer)
-    benches = compile_programs(scale)
-    specs = [(b.source, b.function) for b in benches]
-
-    def compile_once(root_name: str):
-        cache = SummaryCache()
-        with phases.root(root_name, job="compile"):
-            started = time.perf_counter()
-            results = repro.translate_many(specs, cache=cache, max_workers=COMPILE_WORKERS)
-            elapsed = time.perf_counter() - started
-        return results, elapsed, cache
-
-    out.setup_s = time.perf_counter() - clock_start
-    if tracer is None:
-        window_started = time.perf_counter()
-        while True:
-            results, elapsed, cache = compile_once("compile.translate_many")
-            out.compile_runs.append(elapsed)
-            # Another compile only if it should end inside the window.
-            if time.perf_counter() - window_started + elapsed > seconds:
-                break
-    else:
-        _, untraced, _ = compile_once("compile.translate_many")
-        phases.on()
-        results, elapsed, cache = compile_once("compile.translate_many")
-        out.compile_runs = [elapsed]
-        out.overhead_share = elapsed / untraced - 1.0
-    out.compile_s = median_or_zero(out.compile_runs)
-    out.fragments_translated = sum(r.translated for r in results)
-    out.cache_stats = cache.stats.as_dict()
-
-    # Then every translation runs on a small seeded input, in rounds for
-    # a quarter of the window (one round at least): one round of 22
-    # ten-millisecond jobs is too short a sample to time.  The runs give
-    # job_p50_s and records_per_s, and all of them are checked.
-    size = sized(200, scale)
-    runnable = [(b, r) for b, r in zip(benches, results) if r.translated]
-    inputs = {b.name: b.make_inputs(size, seed + i) for i, (b, r) in enumerate(zip(benches, results)) if r.translated}
-    try:
-        with Session(max_workers=0, compile_workers=COMPILE_WORKERS) as session:
-            window_started = time.perf_counter()
-            rounds = 0
-            while rounds == 0 or time.perf_counter() - window_started < seconds / 4:
-                rounds += 1
-                for bench, result in runnable:
-                    with phases.root("session.run") as root:
-                        started = time.perf_counter()
-                        answer = session.run(result, dict(inputs[bench.name]), ExecOptions(plan="auto"))
-                        latency = time.perf_counter() - started
-                        root.job = answer.job_id
-                    records = record_count(bench, inputs[bench.name])
-                    out.jobs.append(job_from_result(answer, bench.name, bench.name, records, latency))
-                    out.traced_jobs.append(answer.job_id)
-            out.window_s = time.perf_counter() - window_started
-    finally:
-        phases.off()
-    out.peak_rss_mb = peak_rss_mb()
-    graphs = {b.name: r.job_graph for b, r in zip(benches, results)}
-    check_jobs(out.jobs, graphs.__getitem__, inputs.__getitem__)
-    return out
-
-
-# ----------------------------------------------------------------------
 # batch_scan and batch_shuffle: one caller, back-to-back jobs
 
 
@@ -316,6 +234,11 @@ class BatchJob:
     program: str
     input_key: str
     options: ExecOptions
+
+    @property
+    def kind(self) -> str:
+        budget = self.options.memory_budget
+        return self.program if budget is None else f"{self.program}@budget={budget}"
 
 
 def pagecount_log(n: int, seed: int, pages: int) -> list:
@@ -343,7 +266,7 @@ def scan_plan(seed: int, scale: float):
     inputs = {name: get_benchmark(name).make_inputs(n, seed + i) for i, (name, n) in enumerate(sizes.items())}
     auto = ExecOptions(plan="auto")
     jobs = [BatchJob(name, name, auto) for name in sizes]
-    return list(sizes), inputs, jobs, 1
+    return list(sizes), inputs, jobs, 1, 1
 
 
 def shuffle_plan(seed: int, scale: float):
@@ -362,31 +285,24 @@ def shuffle_plan(seed: int, scale: float):
         BatchJob("biglambda_wikipedia_pagecount", "biglambda_wikipedia_pagecount", auto),
         BatchJob("joins_q3_revenue", "joins_q3_revenue", ExecOptions(plan="auto", memory_budget=512)),
     ]
-    return list(inputs), inputs, jobs, 5
+    return list(inputs), inputs, jobs, 3, 7
 
 
 def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_start: float) -> Outcome:
+    """Set up (fresh session, cold registration, warm-up round), then the window.
+
+    A workload with a cheap set-up sets up ``setups`` times and setup_s
+    counts the median one: its warm-up spill job alone moves set-up
+    time by a second from run to run.  compile_s is the median of
+    ``registrations`` cold registrations, the set-ups' included.
+    """
     out = Outcome()
     phases = Phases(tracer)
     phases.on()  # a traced run also traces set-up (registration, warm-up)
-    programs, inputs, round_jobs, registrations = plan_fn(seed, scale)
+    programs, inputs, round_jobs, setups, registrations = plan_fn(seed, scale)
     benches = {name: get_benchmark(name) for name in programs}
-    session = Session(max_workers=0, compile_workers=COMPILE_WORKERS)
+    session = None
     try:
-        # Cold registration; a cheap program set registers again in
-        # fresh sessions and compile_s is the median.
-        for attempt in range(registrations):
-            if attempt:
-                session.close()
-                session = Session(max_workers=0, compile_workers=COMPILE_WORKERS)
-            entries = {}
-            compile_started = time.perf_counter()
-            with phases.root("setup.compile", job="setup"):
-                for name in programs:
-                    entries[name] = session.compile(benches[name].source, benches[name].function)
-            out.compile_runs.append(time.perf_counter() - compile_started)
-        out.compile_s = median_or_zero(out.compile_runs)
-        out.fragments_translated = sum(entry.translated for entry in entries.values())
 
         def run_round(timed: bool) -> list[Job]:
             done = []
@@ -397,15 +313,24 @@ def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_st
                     answer = session.run(entries[spec.program], dict(inputs[spec.input_key]), spec.options)
                     latency = time.perf_counter() - started
                     root.job = answer.job_id
-                done.append(
-                    job_from_result(
-                        answer, spec.program, spec.input_key, record_count(bench, inputs[spec.input_key]), latency, timed
-                    )
-                )
+                records = record_count(bench, inputs[spec.input_key])
+                done.append(job_from_result(answer, spec.program, spec.input_key, records, latency, timed, spec.kind))
             return done
 
-        out.jobs.extend(run_round(timed=False))  # warm-up
-        out.setup_s = time.perf_counter() - clock_start
+        before_setup = time.perf_counter() - clock_start  # imports and input generation
+        setup_runs = []
+        for _ in range(setups):
+            if session is not None:
+                session.close()
+            started = time.perf_counter()
+            session = Session(max_workers=0, compile_workers=COMPILE_WORKERS)
+            with phases.root("setup.compile", job="setup"):
+                entries = {name: session.compile(benches[name].source, benches[name].function) for name in programs}
+            out.compile_runs.append(time.perf_counter() - started)
+            out.jobs.extend(run_round(timed=False))  # warm-up
+            setup_runs.append(time.perf_counter() - started)
+        out.setup_s = before_setup + median_or_zero(setup_runs)
+        out.fragments_translated = sum(entry.translated for entry in entries.values())
 
         def window(budget: float) -> tuple[list[Job], float]:
             jobs: list[Job] = []
@@ -430,9 +355,20 @@ def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_st
             out.jobs.extend(untraced + traced)
         out.peak_rss_mb = peak_rss_mb()
         out.cache_stats = session.registry.cache.stats.as_dict()
+        # A short registration is a small sample of a noisy host: more
+        # registrations in fresh sessions after the window, and
+        # compile_s is the median of all of them.
+        while len(out.compile_runs) < registrations:
+            with Session(max_workers=0, compile_workers=COMPILE_WORKERS) as fresh:
+                started = time.perf_counter()
+                for name in programs:
+                    fresh.compile(benches[name].source, benches[name].function)
+                out.compile_runs.append(time.perf_counter() - started)
+        out.compile_s = median_or_zero(out.compile_runs)
     finally:
         phases.off()
-        session.close()
+        if session is not None:
+            session.close()
     graphs = {name: entry.compilation.job_graph for name, entry in entries.items()}
     check_jobs(out.jobs, graphs.__getitem__, inputs.__getitem__)
     return out
@@ -450,17 +386,12 @@ def run_batch_shuffle(seed, seconds, scale, tracer, clock_start):
 # serve_small: closed loop against a daemon
 
 SERVE_PROGRAMS = ("ariths_sum", "ariths_dot_product", "stats_histogram", "phoenix_wordcount")
-#: One client.  Two clients and the daemon saturate both CPUs of a
-#: two-CPU host, and job_p50_s and jobs_per_s then spread 0.27-0.30
-#: (quartile distance over the median, ten seeds) against 0.09-0.10
-#: with one client; two clients also reached fewer jobs/s (6 vs 8).
-SERVE_CLIENTS = 1
-SERVE_REGISTRATIONS = 3
+SERVE_REGISTRATIONS = 5
 SERVE_DAEMON_WORKERS = 2
 SERVE_RECORDS = 5_000
-#: Inputs made per second of window (at scale 1): above the ~8 jobs/s
-#: two clients reach on two CPUs.  A fixed count keeps memory steady.
-SERVE_MAX_RATE = 20.0
+#: Inputs are made this many at a time, with the window's clock
+#: stopped, so that the client's memory does not grow with the window.
+SERVE_INPUT_BATCH = 16
 
 
 class DaemonProcess:
@@ -542,18 +473,22 @@ class InProcessDaemon:
         self.daemon.shutdown()
 
 
-def serve_inputs(seed: int, count: int, records: int) -> list[tuple[str, dict]]:
-    """Fresh input per job, round-robin over the programs."""
-    out = []
-    for index in range(count):
-        name = SERVE_PROGRAMS[index % len(SERVE_PROGRAMS)]
-        out.append((name, get_benchmark(name).make_inputs(records, seed * 1_000_003 + index)))
-    return out
+def serve_input(seed: int, index: int, records: int) -> tuple[str, dict]:
+    """The ``index``-th job's program and fresh input, round-robin."""
+    name = SERVE_PROGRAMS[index % len(SERVE_PROGRAMS)]
+    return name, get_benchmark(name).make_inputs(records, seed * 1_000_003 + index)
 
 
 def run_serve_small(
     seed, seconds, scale, tracer, clock_start, fail_job: Optional[int] = None
 ) -> Outcome:
+    """One client in a closed loop: the next job is sent when the last ends.
+
+    One client, not two: two clients and the daemon saturate both CPUs
+    of a two-CPU host, and job_p50_s and jobs_per_s then spread
+    0.27-0.30 (quartile distance over the median, ten seeds) against
+    0.09-0.10 with one client, which also completed more jobs per second.
+    """
     out = Outcome()
     phases = Phases(tracer)
     records = sized(SERVE_RECORDS, scale)
@@ -582,21 +517,12 @@ def run_serve_small(
 
         remote = start_and_register()
         out.fragments_translated = sum(r.translated for r in remote.values())
-        clients = [repro.connect(daemon.address) for _ in range(SERVE_CLIENTS)]
-
-        warmup = 2 * len(SERVE_PROGRAMS)
-        inputs = serve_inputs(seed, warmup, records)
-        next_input = itertools.count()
-        lock = threading.Lock()
+        client = repro.connect(daemon.address)
         options = ExecOptions(plan="auto")
+        next_index = itertools.count()
 
-        def one_job(client, timed: bool) -> Optional[Job]:
-            with lock:
-                index = next(next_input)
-            if index >= len(inputs):
-                return None
-            name, payload = inputs[index]
-            if fail_job is not None and index == fail_job:
+        def one_job(index: int, name: str, payload: dict, timed: bool) -> Job:
+            if index == fail_job:
                 payload = {}  # a job that fails: its inputs are missing
             with phases.root("session.run", fallback=False) as root:
                 started = time.perf_counter()
@@ -606,40 +532,26 @@ def run_serve_small(
                 latency = time.perf_counter() - started
             return job_from_result(answer, name, index, record_count(benches[name], payload), latency, timed)
 
-        for _ in range(warmup):  # warm-up, one caller
-            out.jobs.append(one_job(clients[0], timed=False))
-        # Fresh inputs for the window: no input repeats within a run.
-        needed = warmup + int(seconds * SERVE_MAX_RATE / scale) + 1
-        inputs = serve_inputs(seed, needed, records)
-        # The pre-made inputs are millions of client-side objects; the
-        # collector would traverse them in the clients' timed loop.
-        gc.collect()
-        gc.freeze()
+        warmup = 2 * len(SERVE_PROGRAMS)
+        for _ in range(warmup):
+            index = next(next_index)
+            out.jobs.append(one_job(index, *serve_input(seed, index, records), timed=False))
         out.setup_s = time.perf_counter() - clock_start
 
         def window(budget: float) -> tuple[list[Job], float]:
-            done: list[list[Job]] = [[] for _ in clients]
-            errors: list = []
+            """Jobs until ``budget`` seconds of the loop, input making excluded."""
+            jobs: list[Job] = []
+            pending: list = []
+            paused = 0.0
             started = time.perf_counter()
-
-            def loop(slot: int) -> None:
-                try:
-                    while time.perf_counter() - started < budget:
-                        job = one_job(clients[slot], timed=True)
-                        if job is None:
-                            break
-                        done[slot].append(job)
-                except Exception as exc:  # reported after join
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=loop, args=(slot,)) for slot in range(len(clients))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=budget + 170)
-            if errors:
-                raise errors[0]
-            return [job for jobs in done for job in jobs], time.perf_counter() - started
+            while time.perf_counter() - started - paused < budget:
+                if not pending:
+                    making = time.perf_counter()
+                    indices = [next(next_index) for _ in range(SERVE_INPUT_BATCH)]
+                    pending = [(index, *serve_input(seed, index, records)) for index in reversed(indices)]
+                    paused += time.perf_counter() - making
+                jobs.append(one_job(*pending.pop(), timed=True))
+            return jobs, time.perf_counter() - started - paused
 
         if tracer is None:
             jobs, out.window_s = window(seconds)
@@ -655,9 +567,7 @@ def run_serve_small(
             for job in untraced:
                 job.timed = False
             out.jobs.extend(untraced + traced)
-        if len(out.jobs) >= len(inputs):
-            out.notes.append("serve_small ran out of pre-made inputs: the window ended early")
-        out.cache_stats = clients[0].health()["registry"]["cache"]
+        out.cache_stats = client.health()["registry"]["cache"]
         daemon_peak_kb = daemon.peak_kb()
         # One registration is a short sample of a noisy host: fresh
         # daemons register again after the window, spreading the samples
@@ -668,13 +578,13 @@ def run_serve_small(
         out.compile_s = median_or_zero(out.compile_runs)
     finally:
         phases.off()
-        gc.unfreeze()
         if daemon is not None:
             daemon.close()
         shutil.rmtree(cache_dir, ignore_errors=True)
     out.peak_rss_mb = peak_rss_mb(daemon_peak_kb)
 
-    # References: compile each program locally for its job graph.
+    # References: compile each program locally for its job graph, and
+    # make each job's input again from its index.
     graphs = {}
 
     def graph_of(name: str):
@@ -683,15 +593,11 @@ def run_serve_small(
             graphs[name] = repro.translate(bench.source, bench.function).job_graph
         return graphs[name]
 
-    check_jobs(out.jobs, graph_of, lambda index: inputs[index][1])
+    check_jobs(out.jobs, graph_of, lambda index: serve_input(seed, index, records)[1])
     return out
 
 
 WORKLOADS: dict[str, tuple[Callable, str]] = {
-    "compile_cold": (
-        run_compile_cold,
-        "one translate_many over 24 registry programs: synthesis and verification do the work; covers folds, joins, multi-fragment programs and both negative verdicts",
-    ),
     "batch_scan": (
         run_batch_scan,
         "map-bound folds over few keys: scan, column extraction, compiled kernels and sizeof accounting; the shuffle is nearly empty",
