@@ -8,25 +8,31 @@ of each ``repro`` layer (see ``perfbench/layers.py``), prints the
 per-layer table, writes the spans as JSON and as Chrome trace-event
 JSON under ``.perfbench-out/``, and reports the per-layer metrics.
 
+Every time is scaled to a reference host speed by a probe timed
+between operations (see ``perfbench/hostspeed.py``).
+
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
 
 from __future__ import annotations
 
-import time
+import sys
+from pathlib import Path
 
-CLOCK_START = time.perf_counter()
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.hostspeed import REFERENCE_PROBE_S, HostClock  # noqa: E402
+
+#: The first probe; set-up is timed from its end.
+HOST = HostClock()
 
 import argparse  # noqa: E402
 import json  # noqa: E402
-import math  # noqa: E402
 import os  # noqa: E402
 import statistics  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
-
-ROOT = Path(__file__).resolve().parents[1]
+import time  # noqa: E402
 
 #: End-to-end metrics: (name, unit).  Every workload reports all of them.
 END_TO_END = (
@@ -50,19 +56,26 @@ def percentile_with_tail(values: list[float]) -> tuple[str, float] | None:
     return None
 
 
-def kind_medians_geomean(jobs) -> tuple[float, int]:
-    """Geometric mean over job kinds of each kind's median latency.
+def round_means_median(jobs, size: int) -> tuple[float, int]:
+    """Median over whole rounds of ``size`` jobs of the round's mean job time.
 
-    A median over a mix of programs falls between job kinds and jumps
-    when one kind shifts; this moves by each kind's share instead.
+    A round runs one job of each kind, so every round holds the same
+    mix.  A median over single jobs falls between kinds and sits on one
+    kind's tail; a median of per-kind medians jumps with a kind whose
+    time is bimodal (``joins_q3_revenue`` on batch_shuffle).
     """
+    rounds = [jobs[i : i + size] for i in range(0, len(jobs) - size + 1, size)]
+    if not rounds:
+        return float("nan"), 0
+    return statistics.median(sum(job.scaled_s for job in one) / size for one in rounds), len(rounds)
+
+
+def kind_medians(jobs) -> str:
+    """Each job kind's median scaled time, in ms, for the printed report."""
     by_kind: dict[str, list[float]] = {}
     for job in jobs:
-        by_kind.setdefault(job.kind, []).append(job.latency_s)
-    if not by_kind:
-        return float("nan"), 0
-    logs = [math.log(statistics.median(values)) for values in by_kind.values()]
-    return math.exp(sum(logs) / len(logs)), len(by_kind)
+        by_kind.setdefault(job.kind, []).append(job.scaled_s)
+    return ", ".join(f"{kind} {statistics.median(v) * 1e3:.1f} (n={len(v)})" for kind, v in by_kind.items())
 
 
 def end_to_end(workload: str, out) -> tuple[dict, list[str]]:
@@ -71,7 +84,7 @@ def end_to_end(workload: str, out) -> tuple[dict, list[str]]:
     done = [job for job in timed if job.status == "ok"]
     records = sum(job.records for job in done)
     window = out.window_s or float("nan")
-    job_p50, kinds = kind_medians_geomean(timed)
+    job_p50, rounds = round_means_median(timed, out.round_size)
     metrics = {
         "setup_s": out.setup_s,
         "compile_s": out.compile_s,
@@ -86,16 +99,22 @@ def end_to_end(workload: str, out) -> tuple[dict, list[str]]:
         f"compile_s = {metrics['compile_s']:.4f} s (n={max(1, len(out.compile_runs))})",
         f"fragments_translated = {metrics['fragments_translated']} count (must repeat exactly)",
     ]
+    probes = HOST.probes
+    lines.append(
+        f"host probe = {statistics.median(probes) * 1e3:.2f} ms median, {min(probes) * 1e3:.2f}-{max(probes) * 1e3:.2f} ms "
+        f"(n={len(probes)}); times are scaled to a {REFERENCE_PROBE_S * 1e3:g} ms probe, wall-clock lines say so"
+    )
     lines.append(
         f"job_p50_s = {metrics['job_p50_s']:.5f} s "
-        f"(geometric mean of the median of each of {kinds} job kinds; n={len(latencies)})"
+        f"(median over {rounds} rounds of {out.round_size} jobs of the round's mean job time; n={len(latencies)})"
     )
+    lines.append(f"median per job kind, ms: {kind_medians(timed)}")
     prefix = "serve_" if workload == "serve_small" else "all_jobs_"
     if latencies:
-        lines.append(f"{prefix}p50_ms = {statistics.median(latencies) * 1e3:.3f} ms (n={len(latencies)})")
+        lines.append(f"{prefix}p50_ms = {statistics.median(latencies) * 1e3:.3f} ms wall-clock (n={len(latencies)})")
     tail = percentile_with_tail(latencies)
     if tail is not None:
-        lines.append(f"{prefix}{tail[0]}_ms = {tail[1] * 1e3:.3f} ms (n={len(latencies)})")
+        lines.append(f"{prefix}{tail[0]}_ms = {tail[1] * 1e3:.3f} ms wall-clock (n={len(latencies)})")
     else:
         lines.append(f"{prefix}p95_ms = n/a: needs 10 samples above it (n={len(latencies)})")
     if workload == "serve_small":
@@ -222,7 +241,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale", type=float, default=1.0, help="input size factor (tests use a small one)")
     args = parser.parse_args(argv)
 
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
     try:
         import repro  # noqa: F401
     except ImportError as exc:
@@ -236,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     run_fn, why = WORKLOADS[args.workload]
     tracer = Tracer() if args.trace else None
-    out = run_fn(args.seed, args.seconds, args.scale, tracer, CLOCK_START)
+    out = run_fn(args.seed, args.seconds, args.scale, tracer, HOST)
 
     print(f"workload {args.workload} (seed {args.seed}, {args.seconds:g} s, trace {args.trace}): {why}")
     print(f"host: nproc={os.cpu_count()} python={sys.version.split()[0]}")
@@ -254,5 +272,72 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def adopt_orphans() -> None:
+    """Become the parent of every descendant whose own parent exits.
+
+    The serve daemon's helpers (such as its multiprocessing resource
+    tracker) outlive the daemon by a moment; as a child subreaper this
+    process inherits them and can wait for them.  Linux only; elsewhere
+    a no-op.
+    """
+    try:
+        import ctypes
+
+        ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0)  # PR_SET_CHILD_SUBREAPER
+    except (OSError, AttributeError):
+        pass
+
+
+def child_pids() -> list[int]:
+    """Live children of this process, adopted ones included (from /proc)."""
+    me = os.getpid()
+    pids = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        if int(stat.rsplit(")", 1)[1].split()[1]) == me:
+            pids.append(int(entry.name))
+    return pids
+
+
+def reap_children(grace_s: float = 20.0) -> None:
+    """Stop every process this run started and wait until each has ended.
+
+    The multiprocessing resource tracker, started by the engine's first
+    shared-memory segment, lives until its parent closes the pipe to it;
+    stopping it here waits for it instead of leaving it to outlive the
+    run.  Any other child still running after ``grace_s`` is killed.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_fd", None) is not None:
+        tracker._stop()
+    deadline = time.monotonic() + grace_s
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid:
+            continue
+        if time.monotonic() > deadline:
+            for child in child_pids():
+                try:
+                    os.kill(child, 9)
+                except ProcessLookupError:
+                    pass
+            deadline = float("inf")
+        time.sleep(0.02)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    adopt_orphans()
+    try:
+        code = main()
+    finally:
+        sys.stdout.flush()
+        reap_children()
+    sys.exit(code)

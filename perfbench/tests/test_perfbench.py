@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[2]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import layers, run, spans, workloads  # noqa: E402
+from perfbench.hostspeed import HostClock  # noqa: E402
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 TINY = 0.01
@@ -141,7 +142,7 @@ def _serve_cache_dirs() -> set:
 def test_serve_cleans_up_when_a_job_fails(monkeypatch):
     daemons = _capture_daemons(monkeypatch)
     before = _serve_cache_dirs()
-    out = workloads.run_serve_small(6, 1.0, TINY, None, time.perf_counter(), fail_job=9)
+    out = workloads.run_serve_small(6, 1.0, TINY, None, HostClock(), fail_job=9)
     assert [job.status for job in out.jobs].count("error") == 1
     assert sum(job.failed for job in out.jobs) == 1
     assert daemons and all(d.proc.poll() is not None for d in daemons)
@@ -157,7 +158,7 @@ def test_serve_cleans_up_when_the_run_raises(monkeypatch):
 
     monkeypatch.setattr(workloads, "serve_input", boom)
     with pytest.raises(RuntimeError, match="input generation failed"):
-        workloads.run_serve_small(7, 1.0, TINY, None, time.perf_counter())
+        workloads.run_serve_small(7, 1.0, TINY, None, HostClock())
     assert daemons and all(d.proc.poll() is not None for d in daemons)
     assert _serve_cache_dirs() == before
 
@@ -224,3 +225,37 @@ def test_run_fails_without_the_source_tree(tmp_path):
     )
     assert proc.returncode != 0
     assert '"metrics"' not in proc.stdout
+
+
+def session_processes(sid: int) -> list[str]:
+    """Processes, zombies included, of session ``sid`` (from /proc)."""
+    found = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[3]) == sid:
+            found.append(stat)
+    return found
+
+
+SPAWNER = """
+import subprocess, sys
+from multiprocessing import resource_tracker
+sys.path[:0] = sys.argv[1:2]
+from perfbench import run
+run.adopt_orphans()
+resource_tracker.ensure_running()
+# A child that exits at once, leaving a grandchild behind.
+subprocess.run(["sh", "-c", "sleep 1 &"], check=True)
+run.reap_children()
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_run_leaves_no_process_behind():
+    proc = subprocess.Popen([sys.executable, "-c", SPAWNER, str(ROOT)], cwd=str(ROOT), start_new_session=True)
+    assert proc.wait(timeout=60) == 0
+    assert session_processes(proc.pid) == []

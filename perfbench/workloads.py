@@ -34,6 +34,7 @@ from repro.workloads.registry import get_benchmark
 
 from . import layers
 from . import spans as spans_mod
+from .hostspeed import HostClock
 from .layers import median_or_zero
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,6 +59,8 @@ class Job:
     records: int
     latency_s: float
     status: str
+    #: ``latency_s`` scaled to the reference host speed (hostspeed.py).
+    scaled_s: float = 0.0
     error: Optional[str] = None
     outputs: dict = field(default_factory=dict)
     queue_s: float = 0.0
@@ -65,8 +68,8 @@ class Job:
     units: list = field(default_factory=list)
     admission_mode: Optional[str] = None
     timed: bool = True
-    #: Jobs of one kind run the same program the same way; job_p50_s
-    #: takes a median per kind.
+    #: Jobs of one kind run the same program the same way, with the same
+    #: join strategies; the report prints a median per kind.
     kind: str = ""
     wrong: bool = False
     check_error: Optional[str] = None
@@ -87,22 +90,30 @@ def unit_summaries(report: Any) -> list[dict]:
     return list(units.values())
 
 
-def job_from_result(result, program, input_key, records, latency, timed=True, kind=None) -> Job:
+def join_strategies(units: list[dict]) -> str:
+    """The join strategy of every join level a job ran, in order; '' for none."""
+    return "+".join(level.get("strategy", "?") for unit in units for level in (unit.get("join") or {}).get("levels") or ())
+
+
+def job_from_result(result, program, input_key, records, latency, scaled, timed=True, kind=None) -> Job:
+    units = unit_summaries(result.plan_report)
+    joins = join_strategies(units)
     return Job(
         job_id=result.job_id,
         program=program,
         input_key=input_key,
         records=records,
         latency_s=latency,
+        scaled_s=scaled,
         status=result.status,
         error=result.error,
         outputs=dict(result.outputs or {}),
         queue_s=result.queued_seconds,
         exec_s=result.wall_seconds,
-        units=unit_summaries(result.plan_report),
+        units=units,
         admission_mode=(result.admission or {}).get("mode"),
         timed=timed,
-        kind=kind or program,
+        kind=f"{kind or program}[{joins}]" if joins else kind or program,
     )
 
 
@@ -206,14 +217,18 @@ class _NullSpan:
 
 @dataclass
 class Outcome:
-    """What one workload run measured; ``run.py`` turns it into metrics."""
+    """What one workload run measured; ``run.py`` turns it into metrics.
+
+    Times are scaled to the reference host speed (``hostspeed.py``).
+    """
 
     setup_s: float = 0.0
     compile_s: float = 0.0
     compile_runs: list = field(default_factory=list)
     fragments_translated: int = 0
     jobs: list = field(default_factory=list)
-    window_s: float = 0.0
+    #: Timed jobs come in rounds of this many, one job of each kind.
+    round_size: int = 1
     peak_rss_mb: float = 0.0
     cache_stats: dict = field(default_factory=dict)
     #: Traced runs: job ids of the traced window, and the overhead.
@@ -223,6 +238,11 @@ class Outcome:
 
     def timed_jobs(self) -> list[Job]:
         return [job for job in self.jobs if job.timed]
+
+    @property
+    def window_s(self) -> float:
+        """The timed jobs' scaled time: the window less probes and input making."""
+        return sum(job.scaled_s for job in self.timed_jobs())
 
 
 # ----------------------------------------------------------------------
@@ -260,13 +280,13 @@ def scan_plan(seed: int, scale: float):
     sizes = {
         "ariths_sum": sized(50_000, scale),
         "ariths_dot_product": sized(50_000, scale),
-        "stats_correlation_sums": sized(50_000, scale),
+        "stats_covariance": sized(50_000, scale),
         "tpch_q6": sized(25_000, scale),
     }
     inputs = {name: get_benchmark(name).make_inputs(n, seed + i) for i, (name, n) in enumerate(sizes.items())}
     auto = ExecOptions(plan="auto")
     jobs = [BatchJob(name, name, auto) for name in sizes]
-    return list(sizes), inputs, jobs, 1, 1
+    return list(sizes), inputs, jobs, 3, 5
 
 
 def shuffle_plan(seed: int, scale: float):
@@ -285,23 +305,25 @@ def shuffle_plan(seed: int, scale: float):
         BatchJob("biglambda_wikipedia_pagecount", "biglambda_wikipedia_pagecount", auto),
         BatchJob("joins_q3_revenue", "joins_q3_revenue", ExecOptions(plan="auto", memory_budget=512)),
     ]
-    return list(inputs), inputs, jobs, 3, 7
+    return list(inputs), inputs, jobs, 5, 7
 
 
-def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_start: float) -> Outcome:
+def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, host: HostClock) -> Outcome:
     """Set up (fresh session, cold registration, warm-up round), then the window.
 
-    A workload with a cheap set-up sets up ``setups`` times and setup_s
-    counts the median one: its warm-up spill job alone moves set-up
-    time by a second from run to run.  compile_s is the median of
+    Each run sets up ``setups`` times and setup_s counts the median one:
+    batch_shuffle's warm-up spill job alone moves set-up time by a
+    second from run to run.  compile_s is the median of
     ``registrations`` cold registrations, the set-ups' included.
     """
     out = Outcome()
     phases = Phases(tracer)
     phases.on()  # a traced run also traces set-up (registration, warm-up)
     programs, inputs, round_jobs, setups, registrations = plan_fn(seed, scale)
+    out.round_size = len(round_jobs)
     benches = {name: get_benchmark(name) for name in programs}
     session = None
+    entries: dict = {}
     try:
 
         def run_round(timed: bool) -> list[Job]:
@@ -313,40 +335,49 @@ def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_st
                     answer = session.run(entries[spec.program], dict(inputs[spec.input_key]), spec.options)
                     latency = time.perf_counter() - started
                     root.job = answer.job_id
+                scaled = host.lap(latency)
                 records = record_count(bench, inputs[spec.input_key])
-                done.append(job_from_result(answer, spec.program, spec.input_key, records, latency, timed, spec.kind))
+                done.append(job_from_result(answer, spec.program, spec.input_key, records, latency, scaled, timed, spec.kind))
             return done
 
-        before_setup = time.perf_counter() - clock_start  # imports and input generation
+        def register(fresh: Session) -> tuple[float, dict]:
+            """Cold registration of every program, one lap each; scaled seconds."""
+            total, registered = 0.0, {}
+            for name in programs:
+                started = time.perf_counter()
+                registered[name] = fresh.compile(benches[name].source, benches[name].function)
+                total += host.since(started)
+            return total, registered
+
+        before_setup = host.since(host.started)  # imports and input generation
         setup_runs = []
         for _ in range(setups):
             if session is not None:
                 session.close()
-            started = time.perf_counter()
             session = Session(max_workers=0, compile_workers=COMPILE_WORKERS)
             with phases.root("setup.compile", job="setup"):
-                entries = {name: session.compile(benches[name].source, benches[name].function) for name in programs}
-            out.compile_runs.append(time.perf_counter() - started)
-            out.jobs.extend(run_round(timed=False))  # warm-up
-            setup_runs.append(time.perf_counter() - started)
+                compile_s, entries = register(session)
+            out.compile_runs.append(compile_s)
+            warmup = run_round(timed=False)
+            out.jobs.extend(warmup)
+            setup_runs.append(out.compile_runs[-1] + sum(job.scaled_s for job in warmup))
         out.setup_s = before_setup + median_or_zero(setup_runs)
         out.fragments_translated = sum(entry.translated for entry in entries.values())
 
-        def window(budget: float) -> tuple[list[Job], float]:
+        def window(budget: float) -> list[Job]:
             jobs: list[Job] = []
             started = time.perf_counter()
             while not jobs or time.perf_counter() - started < budget:
                 jobs.extend(run_round(timed=True))  # whole rounds only
-            return jobs, time.perf_counter() - started
+            return jobs
 
         if tracer is None:
-            jobs, out.window_s = window(seconds)
-            out.jobs.extend(jobs)
+            out.jobs.extend(window(seconds))
         else:
             phases.off()
-            untraced, _ = window(seconds / 2)
+            untraced = window(seconds / 2)
             phases.on()
-            traced, out.window_s = window(seconds / 2)
+            traced = window(seconds / 2)
             phases.off()
             out.overhead_share = median_or_zero([j.latency_s for j in traced]) / median_or_zero([j.latency_s for j in untraced]) - 1.0
             out.traced_jobs = [job.job_id for job in traced]
@@ -360,10 +391,7 @@ def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_st
         # compile_s is the median of all of them.
         while len(out.compile_runs) < registrations:
             with Session(max_workers=0, compile_workers=COMPILE_WORKERS) as fresh:
-                started = time.perf_counter()
-                for name in programs:
-                    fresh.compile(benches[name].source, benches[name].function)
-                out.compile_runs.append(time.perf_counter() - started)
+                out.compile_runs.append(register(fresh)[0])
         out.compile_s = median_or_zero(out.compile_runs)
     finally:
         phases.off()
@@ -374,19 +402,19 @@ def run_batch(plan_fn, seed: int, seconds: float, scale: float, tracer, clock_st
     return out
 
 
-def run_batch_scan(seed, seconds, scale, tracer, clock_start):
-    return run_batch(scan_plan, seed, seconds, scale, tracer, clock_start)
+def run_batch_scan(seed, seconds, scale, tracer, host):
+    return run_batch(scan_plan, seed, seconds, scale, tracer, host)
 
 
-def run_batch_shuffle(seed, seconds, scale, tracer, clock_start):
-    return run_batch(shuffle_plan, seed, seconds, scale, tracer, clock_start)
+def run_batch_shuffle(seed, seconds, scale, tracer, host):
+    return run_batch(shuffle_plan, seed, seconds, scale, tracer, host)
 
 
 # ----------------------------------------------------------------------
 # serve_small: closed loop against a daemon
 
 SERVE_PROGRAMS = ("ariths_sum", "ariths_dot_product", "stats_histogram", "phoenix_wordcount")
-SERVE_REGISTRATIONS = 5
+SERVE_REGISTRATIONS = 6
 SERVE_DAEMON_WORKERS = 2
 SERVE_RECORDS = 5_000
 #: Inputs are made this many at a time, with the window's clock
@@ -480,7 +508,7 @@ def serve_input(seed: int, index: int, records: int) -> tuple[str, dict]:
 
 
 def run_serve_small(
-    seed, seconds, scale, tracer, clock_start, fail_job: Optional[int] = None
+    seed, seconds, scale, tracer, host: HostClock, fail_job: Optional[int] = None
 ) -> Outcome:
     """One client in a closed loop: the next job is sent when the last ends.
 
@@ -489,7 +517,8 @@ def run_serve_small(
     0.27-0.30 (quartile distance over the median, ten seeds) against
     0.09-0.10 with one client, which also completed more jobs per second.
     """
-    out = Outcome()
+    out = Outcome(round_size=len(SERVE_PROGRAMS))  # round-robin over the programs
+    out.setup_s = host.since(host.started)  # imports
     phases = Phases(tracer)
     records = sized(SERVE_RECORDS, scale)
     cache_dir = ROOT / ".perfbench-out" / f"serve-cache-{os.getpid()}-{seed}"
@@ -503,19 +532,28 @@ def run_serve_small(
         benches = {name: get_benchmark(name) for name in SERVE_PROGRAMS}
 
         def start_and_register():
-            """A fresh daemon with the four programs registered cold."""
+            """A fresh daemon with the four programs registered cold.
+
+            Returns the registrations and the scaled time of the daemon's start.
+            """
             nonlocal daemon
+            started = time.perf_counter()
             daemon_dir = cache_dir / f"daemon-{len(out.compile_runs)}"
             daemon_dir.mkdir()
             daemon = (DaemonProcess if tracer is None else InProcessDaemon)(daemon_dir, SERVE_DAEMON_WORKERS)
             client = repro.connect(daemon.address)
-            started = time.perf_counter()
+            start_s = host.since(started)
+            compile_s, remote = 0.0, {}
             with phases.root("setup.compile", job="setup"):
-                remote = {name: client.compile(b.source, b.function) for name, b in benches.items()}
-            out.compile_runs.append(time.perf_counter() - started)
-            return remote
+                for name, bench in benches.items():
+                    started = time.perf_counter()
+                    remote[name] = client.compile(bench.source, bench.function)
+                    compile_s += host.since(started)
+            out.compile_runs.append(compile_s)
+            return remote, start_s
 
-        remote = start_and_register()
+        remote, start_s = start_and_register()
+        out.setup_s += start_s + out.compile_runs[0]
         out.fragments_translated = sum(r.translated for r in remote.values())
         client = repro.connect(daemon.address)
         options = ExecOptions(plan="auto")
@@ -530,15 +568,18 @@ def run_serve_small(
                 root.job = handle.job_id
                 answer = handle.result()
                 latency = time.perf_counter() - started
-            return job_from_result(answer, name, index, record_count(benches[name], payload), latency, timed)
+            scaled = host.lap(latency)
+            return job_from_result(answer, name, index, record_count(benches[name], payload), latency, scaled, timed)
 
-        warmup = 2 * len(SERVE_PROGRAMS)
-        for _ in range(warmup):
+        for _ in range(2 * len(SERVE_PROGRAMS)):  # warm-up
+            started = time.perf_counter()
             index = next(next_index)
-            out.jobs.append(one_job(index, *serve_input(seed, index, records), timed=False))
-        out.setup_s = time.perf_counter() - clock_start
+            name, payload = serve_input(seed, index, records)
+            out.setup_s += host.since(started)
+            out.jobs.append(one_job(index, name, payload, timed=False))
+            out.setup_s += out.jobs[-1].scaled_s
 
-        def window(budget: float) -> tuple[list[Job], float]:
+        def window(budget: float) -> list[Job]:
             """Jobs until ``budget`` seconds of the loop, input making excluded."""
             jobs: list[Job] = []
             pending: list = []
@@ -551,16 +592,15 @@ def run_serve_small(
                     pending = [(index, *serve_input(seed, index, records)) for index in reversed(indices)]
                     paused += time.perf_counter() - making
                 jobs.append(one_job(*pending.pop(), timed=True))
-            return jobs, time.perf_counter() - started - paused
+            return jobs
 
         if tracer is None:
-            jobs, out.window_s = window(seconds)
-            out.jobs.extend(jobs)
+            out.jobs.extend(window(seconds))
         else:
             phases.off()
-            untraced, _ = window(seconds / 2)
+            untraced = window(seconds / 2)
             phases.on()
-            traced, out.window_s = window(seconds / 2)
+            traced = window(seconds / 2)
             phases.off()
             out.overhead_share = median_or_zero([j.latency_s for j in traced]) / median_or_zero([j.latency_s for j in untraced]) - 1.0
             out.traced_jobs = [job.job_id for job in traced]
